@@ -73,7 +73,7 @@ pub struct PlanCostReport {
 }
 
 /// Per-document cardinality statistics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DocStatistics {
     /// Total stored nodes (elements + attributes + texts).
     pub node_count: usize,

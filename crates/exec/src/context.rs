@@ -124,21 +124,56 @@ struct CounterCells {
     peak_bindings: AtomicU64,
 }
 
+/// The structural index of one document version: the per-tag interval
+/// lists the join operators read and the planner statistics derived from
+/// them. Both are built on first use — the lists by one sweep over the
+/// parentheses, the statistics from the lists — and an `Arc` of the slot is
+/// shared by every context over the same document version, so readers pay
+/// the build once per version, not once per request.
+#[derive(Debug, Default)]
+pub struct StructuralIndex {
+    streams: OnceLock<TagStreams>,
+    stats: OnceLock<Arc<DocStatistics>>,
+}
+
+impl StructuralIndex {
+    /// An empty slot; nothing is built until a reader asks.
+    pub fn new() -> Self {
+        StructuralIndex::default()
+    }
+
+    /// The tag streams of `sdoc`, built on first use. `sdoc` must be the
+    /// document this slot was created for.
+    pub fn streams(&self, sdoc: &SuccinctDoc) -> &TagStreams {
+        self.streams.get_or_init(|| TagStreams::build(sdoc))
+    }
+
+    /// The planner statistics of `sdoc`, derived from its streams on first
+    /// use (building the streams if no reader has yet).
+    pub fn statistics(&self, sdoc: &SuccinctDoc) -> &Arc<DocStatistics> {
+        self.stats.get_or_init(|| Arc::new(statistics_from(sdoc, self.streams(sdoc))))
+    }
+
+    /// True once the streams have been built.
+    pub fn is_built(&self) -> bool {
+        self.streams.get().is_some()
+    }
+}
+
 /// Everything evaluation needs: the stored document, optional indexes,
-/// lazily-built tag streams, statistics and the output arena.
+/// the (possibly shared) structural index and the output arena.
 ///
 /// `Send + Sync`: the stored document and indexes are shared immutable
-/// borrows, lazy statistics/streams are `OnceLock`s, counters are atomics,
-/// and the output arena sits behind a `Mutex` — so one context can be shared
-/// by the scoped worker threads of [`crate::parallel`] and by callers running
-/// whole queries from multiple threads.
+/// borrows, the structural index is built behind `OnceLock`s, counters are
+/// atomics, and the output arena sits behind a `Mutex` — so one context can
+/// be shared by the scoped worker threads of [`crate::parallel`] and by
+/// callers running whole queries from multiple threads.
 pub struct ExecContext<'a> {
     /// The queried document in succinct storage.
     pub sdoc: &'a SuccinctDoc,
     /// Optional content index (σv pushdown probes it).
     pub index: Option<&'a ValueIndex>,
-    streams: OnceLock<TagStreams>,
-    stats: OnceLock<Arc<DocStatistics>>,
+    structure: Arc<StructuralIndex>,
     built: Mutex<Document>,
     counters: CounterCells,
     governor: Option<Arc<ResourceGovernor>>,
@@ -152,25 +187,25 @@ const _: () = {
 };
 
 impl<'a> ExecContext<'a> {
-    /// Create a context over a stored document. Statistics and tag streams
-    /// are built lazily — query setup must not pay O(n) unless the cost
-    /// model or a join-based operator actually runs.
+    /// Create a context over a stored document with a private structural
+    /// index. Statistics and tag streams are built lazily — query setup
+    /// must not pay O(n) unless the cost model or a join-based operator
+    /// actually runs.
     pub fn new(sdoc: &'a SuccinctDoc) -> Self {
         ExecContext {
             sdoc,
             index: None,
-            streams: OnceLock::new(),
-            stats: OnceLock::new(),
+            structure: Arc::new(StructuralIndex::new()),
             built: Mutex::new(Document::new()),
             counters: CounterCells::default(),
             governor: None,
         }
     }
 
-    /// Cardinality statistics (built on first use unless seeded by
-    /// [`Self::with_stats`]).
+    /// Cardinality statistics (derived from the structural index on first
+    /// use).
     pub fn stats(&self) -> &DocStatistics {
-        self.stats.get_or_init(|| Arc::new(statistics_of(self.sdoc)))
+        self.structure.statistics(self.sdoc)
     }
 
     /// Attach a value index.
@@ -179,18 +214,22 @@ impl<'a> ExecContext<'a> {
         self
     }
 
-    /// Seed the statistics with a pre-computed (typically per-document,
-    /// cached-by-the-database) snapshot, so repeated queries don't re-derive
-    /// them and updates can invalidate them centrally. A no-op if statistics
-    /// were already initialized.
-    pub fn with_stats(self, stats: Arc<DocStatistics>) -> Self {
-        let _ = self.stats.set(stats);
+    /// Read the structural index from a shared slot (one per document
+    /// version) instead of a private one. The slot must have been created
+    /// for this context's document.
+    pub fn with_structural_index(mut self, structure: Arc<StructuralIndex>) -> Self {
+        self.structure = structure;
         self
+    }
+
+    /// The structural index slot this context reads.
+    pub fn structural_index(&self) -> &Arc<StructuralIndex> {
+        &self.structure
     }
 
     /// The tag streams, built on first use (join-based operators only).
     pub fn streams(&self) -> &TagStreams {
-        self.streams.get_or_init(|| TagStreams::build(self.sdoc))
+        self.structure.streams(self.sdoc)
     }
 
     // ---- resource governor --------------------------------------------------
@@ -405,24 +444,26 @@ impl<'a> ExecContext<'a> {
     }
 }
 
-/// Derive cost-model statistics directly from the succinct document. Public
-/// so the database layer can compute (and cache) them once per document
-/// generation and seed every context via [`ExecContext::with_stats`].
+/// Derive cost-model statistics for a document: one sweep builds its tag
+/// streams, and the statistics are read off them.
+/// Database paths get them from the version's shared [`StructuralIndex`]
+/// instead, which keeps the streams for the join operators.
 pub fn statistics_of(sdoc: &SuccinctDoc) -> DocStatistics {
-    let mut tag_counts = std::collections::HashMap::new();
-    let mut elements = 0usize;
-    let mut max_depth = 0usize;
-    for n in (0..sdoc.node_count() as u32).map(SNodeId) {
-        if sdoc.is_text(n) {
-            continue;
-        }
-        if sdoc.is_element(n) {
-            elements += 1;
-            max_depth = max_depth.max(sdoc.depth(n));
-        }
-        *tag_counts.entry(sdoc.name(n).to_string()).or_insert(0) += 1;
-    }
-    DocStatistics::from_counts(sdoc.node_count(), elements, tag_counts, max_depth)
+    statistics_from(sdoc, &TagStreams::build(sdoc))
+}
+
+/// Statistics from already-built streams: a tag's count is its stream's
+/// length, elements are the intervals that are not attributes, and the
+/// maximum depth is the deepest element's level.
+fn statistics_from(sdoc: &SuccinctDoc, streams: &TagStreams) -> DocStatistics {
+    let tag_counts =
+        streams.tags().map(|(t, s)| (sdoc.tag_table().name(t).to_string(), s.len())).collect();
+    DocStatistics::from_counts(
+        sdoc.node_count(),
+        streams.total_len() - streams.attribute_len(),
+        tag_counts,
+        streams.max_element_level() as usize,
+    )
 }
 
 #[cfg(test)]
@@ -511,13 +552,16 @@ mod tests {
     }
 
     #[test]
-    fn injected_stats_are_used() {
+    fn shared_structural_index_is_built_once() {
         let sdoc = ctx_doc();
-        let mut tags = std::collections::HashMap::new();
-        tags.insert("fake".to_string(), 99usize);
-        let seeded = Arc::new(DocStatistics::from_counts(1, 1, tags, 1));
-        let ctx = ExecContext::new(&sdoc).with_stats(seeded);
-        assert_eq!(ctx.stats().tag_count("fake"), 99);
+        let slot = Arc::new(StructuralIndex::new());
+        let a = ExecContext::new(&sdoc).with_structural_index(Arc::clone(&slot));
+        let b = ExecContext::new(&sdoc).with_structural_index(Arc::clone(&slot));
+        assert!(!slot.is_built(), "creating contexts builds nothing");
+        assert_eq!(a.stats().tag_count("b"), 1);
+        assert!(slot.is_built(), "statistics come from the streams");
+        assert!(std::ptr::eq(a.streams(), b.streams()));
+        assert!(std::ptr::eq(a.stats(), b.stats()));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The executor — parse → optimize → evaluate → serialize.
 
 use crate::cache::{CompiledPlan, PlanCache};
-use crate::context::{ExecContext, ExecCounters, NodeRef, Val, XqError};
+use crate::context::{ExecContext, ExecCounters, NodeRef, StructuralIndex, Val, XqError};
 use crate::eval::{Evaluator, Scope};
 use crate::governor::ResourceGovernor;
 use crate::physical::{self, EvalMode};
@@ -56,11 +56,12 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Inject pre-computed document statistics (e.g. a cached-by-the-
-    /// database snapshot) so the planner does not re-derive them per query.
-    /// Callers must invalidate their snapshot when the document changes.
-    pub fn with_statistics(mut self, stats: Arc<xqp_algebra::DocStatistics>) -> Self {
-        self.ctx = self.ctx.with_stats(stats);
+    /// Read tag streams and statistics from a shared structural-index slot
+    /// (one per document version, see [`crate::mvcc::DocVersion`]) so the
+    /// index is built once per version, not once per executor. The slot
+    /// must belong to this executor's document.
+    pub fn with_structural_index(mut self, structure: Arc<StructuralIndex>) -> Self {
+        self.ctx = self.ctx.with_structural_index(structure);
         self
     }
 

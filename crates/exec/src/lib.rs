@@ -55,7 +55,7 @@ pub mod structural;
 pub mod twig;
 
 pub use cache::{CompiledPlan, PlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
-pub use context::{ExecContext, ExecCounters, NodeRef, Val, XqError};
+pub use context::{ExecContext, ExecCounters, NodeRef, StructuralIndex, Val, XqError};
 pub use engine::Executor;
 pub use functions::{FnEntry, Fold};
 pub use governor::{CancelToken, GovernorStats, QueryLimits, ResourceGovernor};

@@ -5,7 +5,8 @@
 //! `storage::persist` into the in-memory store: a document is a chain of
 //! immutable [`DocVersion`]s — succinct structure + content, the optional
 //! value/suffix indexes built *for that structure's ranks*, and the lazily
-//! derived planner statistics — published through a [`VersionedDoc`] cell.
+//! built structural index (tag streams + planner statistics) — published
+//! through a [`VersionedDoc`] cell.
 //!
 //! * **Readers** call [`VersionedDoc::snapshot`], a brief read-lock `Arc`
 //!   clone, and then run entirely against the captured version. They never
@@ -32,23 +33,26 @@
 //! regression suite pins.
 
 use crate::cache::PlanCache;
+use crate::context::StructuralIndex;
 use crate::engine::Executor;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, Weak};
 use xqp_algebra::DocStatistics;
-use xqp_storage::{SuccinctDoc, SuffixIndex, ValueIndex};
+use xqp_storage::{SuccinctDoc, SuffixIndex, TagStreams, ValueIndex};
 
 /// One immutable published version of a document: structure, content
-/// indexes, statistics and the (shared) plan cache, stamped with the
-/// generation at which it was installed.
+/// indexes, the structural index and the (shared) plan cache, stamped with
+/// the generation at which it was installed.
 pub struct DocVersion {
     generation: u64,
     sdoc: Arc<SuccinctDoc>,
     index: Option<Arc<ValueIndex>>,
     suffix: Option<Arc<SuffixIndex>>,
-    /// Planner statistics, derived on first use and shared by every
-    /// executor over this version. A `OnceLock` keeps derivation lazy
-    /// without locking readers that only navigate.
-    stats: OnceLock<Arc<DocStatistics>>,
+    /// Tag streams and planner statistics, built by the first reader that
+    /// needs either and shared by every executor over this version (and by
+    /// index-toggle successors, which keep the same structure). Never built
+    /// at install or executor creation: readers that only navigate never
+    /// pay for it.
+    structure: Arc<StructuralIndex>,
     cache: Arc<PlanCache>,
 }
 
@@ -82,7 +86,17 @@ impl DocVersion {
 
     /// Cost-model statistics for this version, derived on first use.
     pub fn statistics(&self) -> Arc<DocStatistics> {
-        Arc::clone(self.stats.get_or_init(|| Arc::new(crate::context::statistics_of(&self.sdoc))))
+        Arc::clone(self.structure.statistics(&self.sdoc))
+    }
+
+    /// The per-tag interval streams of this version, built on first use.
+    pub fn tag_streams(&self) -> &TagStreams {
+        self.structure.streams(&self.sdoc)
+    }
+
+    /// The structural-index slot every executor over this version shares.
+    pub fn structural_index(&self) -> &Arc<StructuralIndex> {
+        &self.structure
     }
 
     /// The plan cache shared across this document's versions.
@@ -90,9 +104,9 @@ impl DocVersion {
         &self.cache
     }
 
-    /// An executor over this snapshot: document, index, statistics and the
-    /// shared plan cache scoped to this version's generation. Callers
-    /// layer strategy / rules / governor on top.
+    /// An executor over this snapshot: document, value index, the shared
+    /// structural index and the shared plan cache scoped to this version's
+    /// generation. Callers layer strategy / rules / governor on top.
     pub fn executor(&self) -> Executor<'_> {
         self.executor_with_cache(Arc::clone(&self.cache), format!("g{}", self.generation))
     }
@@ -107,7 +121,7 @@ impl DocVersion {
         scope: impl Into<String>,
     ) -> Executor<'_> {
         let mut ex = Executor::new(&self.sdoc)
-            .with_statistics(self.statistics())
+            .with_structural_index(Arc::clone(&self.structure))
             .with_plan_cache(cache)
             .with_cache_scope(scope);
         if let Some(idx) = &self.index {
@@ -144,7 +158,7 @@ impl VersionedDoc {
                 sdoc: Arc::new(sdoc),
                 index: None,
                 suffix: None,
-                stats: OnceLock::new(),
+                structure: Arc::new(StructuralIndex::new()),
                 cache: Arc::new(PlanCache::default()),
             })),
             retired: Mutex::new(Vec::new()),
@@ -176,15 +190,16 @@ impl VersionedDoc {
             sdoc,
             index,
             suffix,
-            stats: OnceLock::new(),
+            structure: Arc::new(StructuralIndex::new()),
             cache: Arc::clone(&cur.cache),
         })
     }
 
     /// Publish a successor that shares the current structure but has the
-    /// value index built (`true`) or dropped (`false`). Statistics carry
-    /// over (same document); the generation still bumps, so cached plans
-    /// recompile and can pick up (or stop using) σv probes.
+    /// value index built (`true`) or dropped (`false`). The structural
+    /// index slot is shared with the predecessor (same document, built or
+    /// not); the generation still bumps, so cached plans recompile and can
+    /// pick up (or stop using) σv probes.
     pub fn set_value_index(&self, on: bool) -> Arc<DocVersion> {
         let cur = self.snapshot();
         let index = on.then(|| Arc::new(ValueIndex::build(&cur.sdoc)));
@@ -193,7 +208,7 @@ impl VersionedDoc {
             sdoc: Arc::clone(&cur.sdoc),
             index,
             suffix: cur.suffix.clone(),
-            stats: carry_stats(&cur),
+            structure: Arc::clone(&cur.structure),
             cache: Arc::clone(&cur.cache),
         })
     }
@@ -208,7 +223,7 @@ impl VersionedDoc {
             sdoc: Arc::clone(&cur.sdoc),
             index: cur.index.clone(),
             suffix,
-            stats: carry_stats(&cur),
+            structure: Arc::clone(&cur.structure),
             cache: Arc::clone(&cur.cache),
         })
     }
@@ -239,16 +254,6 @@ impl VersionedDoc {
         retired.push(Arc::downgrade(&old));
         next
     }
-}
-
-/// Share already-derived statistics with a successor over the same
-/// structure (index toggles change plans, not cardinalities).
-fn carry_stats(cur: &DocVersion) -> OnceLock<Arc<DocStatistics>> {
-    let stats = OnceLock::new();
-    if let Some(s) = cur.stats.get() {
-        let _ = stats.set(Arc::clone(s));
-    }
-    stats
 }
 
 #[cfg(test)]
@@ -285,11 +290,14 @@ mod tests {
     fn index_toggles_share_structure_and_bump_generation() {
         let v = VersionedDoc::new(SuccinctDoc::parse("<r><a>1</a></r>").unwrap());
         let plain = v.snapshot();
-        let _ = plain.statistics(); // derive, so the successor can share
         let indexed = v.set_value_index(true);
         assert_eq!(indexed.generation(), 1);
         assert!(indexed.value_index().is_some());
         assert!(std::ptr::eq(plain.sdoc(), indexed.sdoc()), "structure is shared");
+        assert!(
+            Arc::ptr_eq(plain.structural_index(), indexed.structural_index()),
+            "the structural index is shared, built or not"
+        );
         assert!(Arc::ptr_eq(&plain.statistics(), &indexed.statistics()), "stats are shared");
         let dropped = v.set_value_index(false);
         assert!(dropped.value_index().is_none());

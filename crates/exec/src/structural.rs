@@ -68,16 +68,7 @@ pub fn candidates(ctx: &ExecContext<'_>, g: &PatternGraph, v: usize) -> Vec<Inte
         _ => {
             let streams = ctx.streams();
             if vert.label == "*" {
-                let mut all: Vec<Interval> = ctx
-                    .sdoc
-                    .elements()
-                    .map(|n| {
-                        let (start, end, level) = ctx.sdoc.interval(n);
-                        Interval { start, end, level, node: n }
-                    })
-                    .collect();
-                all.sort_by_key(|iv| iv.start);
-                all
+                streams.all_of_kind(ctx.sdoc, want_attr)
             } else {
                 streams
                     .stream_by_name(ctx.sdoc, &vert.label)

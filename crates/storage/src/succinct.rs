@@ -308,12 +308,6 @@ impl SuccinctDoc {
         (0..self.node_count() as u32).map(SNodeId).filter(move |&n| self.is_element(n))
     }
 
-    /// All nodes with the given tag, in document order (a per-tag scan; the
-    /// indexed variant lives in [`crate::interval::TagStreams`]).
-    pub fn nodes_with_tag(&self, tag: TagId) -> impl Iterator<Item = SNodeId> + '_ {
-        (0..self.node_count() as u32).map(SNodeId).filter(move |&n| self.tags.get(n.index()) == tag)
-    }
-
     // ---- values --------------------------------------------------------------
 
     /// XPath string value: concatenated descendant text for elements, own
@@ -638,13 +632,6 @@ mod tests {
             assert!(s0 < s && e < e0, "child interval inside root");
             assert!(s < e);
         }
-    }
-
-    #[test]
-    fn nodes_with_tag_scan() {
-        let d = sdoc(SAMPLE);
-        let author = d.tag_table().lookup("author").unwrap();
-        assert_eq!(d.nodes_with_tag(author).count(), 3);
     }
 
     #[test]

@@ -18,6 +18,11 @@ cargo test -q
 echo "== full workspace, offline =="
 cargo test --workspace --offline
 
+echo "== served benchmark builds and passes its own tests =="
+# xqpbench is a separate workspace on path deps: an engine API change that
+# breaks its ledger must fail here, not in the benchmark run.
+cargo test --offline --manifest-path xqpbench/Cargo.toml
+
 echo "== crash-recovery suite =="
 cargo test --offline --test recovery --test persistence
 

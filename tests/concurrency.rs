@@ -2,11 +2,14 @@
 //! OS threads running a mixed query workload. The executor's read paths are
 //! `Send + Sync` (atomic counters, lock-guarded lazy state), so this must
 //! complete with no panics, every thread seeing correct results, and the
-//! merged `ExecCounters` consistent with the work done.
+//! merged `ExecCounters` consistent with the work done. Executors built
+//! from one document version share its lazily built structural index, so
+//! threads also race that first build.
 
-use std::sync::Arc;
-use xqp_exec::{Executor, PlanCache, Strategy};
-use xqp_storage::SuccinctDoc;
+use std::sync::{Arc, Barrier};
+use xqp_exec::{Executor, PlanCache, Strategy, VersionedDoc};
+use xqp_gen::{gen_xmark, xmark_queries, XmarkConfig};
+use xqp_storage::{SNodeId, SuccinctDoc};
 
 const STORE: &str = "<store>\
 <inventory>\
@@ -118,4 +121,50 @@ fn shared_plan_cache_across_executors_and_threads() {
     assert!(hits > 0);
     assert!(misses >= WORKLOAD.len() as u64);
     assert_eq!(hits + misses, (THREADS * ROUNDS) as u64);
+}
+
+#[test]
+fn threads_racing_the_first_structural_index_build_share_one_result() {
+    // A fresh version: nothing built yet. Every thread's first query needs
+    // the index (Auto reads statistics, the join strategies read streams).
+    let dom = gen_xmark(&XmarkConfig::scale(0.05));
+    let version = VersionedDoc::new(SuccinctDoc::from_document(&dom)).snapshot();
+    assert!(!version.structural_index().is_built());
+    let strategies = [Strategy::Auto, Strategy::TwigStack, Strategy::BinaryJoin];
+    let paths: Vec<&str> = xmark_queries().iter().map(|q| q.path).collect();
+
+    // Single-threaded reference over a separate copy of the document.
+    let reference = SuccinctDoc::from_document(&dom);
+    let want: Vec<Vec<SNodeId>> = paths
+        .iter()
+        .map(|p| Executor::new(&reference).with_strategy(Strategy::NoK).eval_path_str(p).unwrap())
+        .collect();
+
+    let barrier = Barrier::new(THREADS);
+    let seen: Vec<(usize, usize)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (version, barrier, paths, want) = (&version, &barrier, &paths, &want);
+                let strategy = strategies[t % strategies.len()];
+                scope.spawn(move || {
+                    let ex = version.executor().with_strategy(strategy);
+                    barrier.wait();
+                    // Stagger so threads start on different queries.
+                    for k in (0..paths.len()).map(|k| (k + t) % paths.len()) {
+                        let got = ex.eval_path_str(paths[k]).expect("path evaluates");
+                        assert_eq!(got, want[k], "thread {t} {strategy:?} `{}`", paths[k]);
+                    }
+                    let streams = ex.context().streams() as *const _ as usize;
+                    let stats = ex.context().stats() as *const _ as usize;
+                    (streams, stats)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("reader thread")).collect()
+    });
+    // One build was published and every thread read that one.
+    let first = seen[0];
+    assert!(seen.iter().all(|&s| s == first), "threads saw different indexes: {seen:?}");
+    assert_eq!(first.0, version.tag_streams() as *const _ as usize);
+    assert_eq!(first.1, Arc::as_ptr(&version.statistics()) as usize);
 }
